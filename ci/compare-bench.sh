@@ -12,9 +12,11 @@
 # Gated metrics:
 #   BENCH_serve.json       req_per_s per (mode, workers, shards, batch)
 #                          config — higher is better; loose tolerance
-#                          (default 15%) because throughput on shared
+#                          (SERVE_TOL) because throughput on shared
 #                          runners is noisy — plus shed_fraction, gated
-#                          with an absolute slack (default 0.05). Records
+#                          with an absolute slack (SHED_SLACK); both
+#                          defaults live in ci/serve-tolerances.env,
+#                          which the serve bench reads too. Records
 #                          predating the sharded schema carry no mode key
 #                          and parse as mode="legacy", shards=1, batch=1;
 #                          a legacy baseline facing a sharded-schema
@@ -69,8 +71,13 @@
 #   ci/compare-bench.sh --scaling BASE FRESH      # gate one pair directly
 set -eu
 
-SERVE_TOL=${SERVE_TOL:-0.15}
-SHED_SLACK=${SHED_SLACK:-0.05}
+# The serve tolerances' defaults live in one file the serve bench also
+# reads; the environment still overrides them.
+serve_default() {
+    sed -n "s/^$1=//p" "$(dirname "$0")/serve-tolerances.env"
+}
+SERVE_TOL=${SERVE_TOL:-$(serve_default SERVE_TOL)}
+SHED_SLACK=${SHED_SLACK:-$(serve_default SHED_SLACK)}
 EST_TOL=${EST_TOL:-0.02}
 
 # --- serve: req_per_s + shed per (mode, workers, shards, batch) ------------

@@ -118,8 +118,8 @@ pub struct UpArc {
 /// of the graph it was priced against.
 ///
 /// Cloning is cheap (the topology and pricing are shared behind `Arc`),
-/// which is what lets `EpochDb` snapshots carry the hierarchy the same
-/// way they carry landmark tables.
+/// which is what lets `ShardedEpochDb` snapshots carry the hierarchy the
+/// same way they carry landmark tables.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     core: Arc<Core>,

@@ -223,28 +223,19 @@ pub enum ServeEvent {
         at_tick: u64,
     },
     /// An `UPDATE` installed a new database epoch and swept the cache.
+    /// The global install counter advanced, but only the touched shards'
+    /// versions moved — cached routes over other shards keep hitting
+    /// unswept.
     EpochInstalled {
-        /// The new epoch number.
+        /// The new epoch number (the global install counter).
         epoch: u64,
         /// Directed edge tuples the update touched.
         updated_edges: u64,
-        /// Cache entries dropped by the invalidation rule.
-        invalidated: u64,
-        /// Cache entries proven unaffected and carried into the new epoch.
-        promoted: u64,
-    },
-    /// An `UPDATE` installed a new epoch on *sharded* serving state: the
-    /// global install counter advanced, but only the listed shards'
-    /// versions moved — snapshots over other shards keep hitting the
-    /// cache unswept.
-    ShardEpochInstalled {
-        /// The new global install counter.
-        install: u64,
         /// How many shards the update touched (the endpoint shards).
         shards_touched: u64,
         /// Total shards in the serving state.
         shards_total: u64,
-        /// Cache entries dropped by the sharded invalidation rule.
+        /// Cache entries dropped by the invalidation rule.
         invalidated: u64,
         /// Cache entries re-stamped to the touched shards' new versions.
         promoted: u64,
@@ -513,24 +504,14 @@ impl ServeEvent {
             ServeEvent::EpochInstalled {
                 epoch,
                 updated_edges,
+                shards_touched,
+                shards_total,
                 invalidated,
                 promoted,
             } => JsonObject::new()
                 .string("type", "serve_epoch_installed")
                 .u64("epoch", *epoch)
                 .u64("updated_edges", *updated_edges)
-                .u64("invalidated", *invalidated)
-                .u64("promoted", *promoted)
-                .finish(),
-            ServeEvent::ShardEpochInstalled {
-                install,
-                shards_touched,
-                shards_total,
-                invalidated,
-                promoted,
-            } => JsonObject::new()
-                .string("type", "serve_shard_epoch_installed")
-                .u64("install", *install)
                 .u64("shards_touched", *shards_touched)
                 .u64("shards_total", *shards_total)
                 .u64("invalidated", *invalidated)
@@ -721,12 +702,16 @@ mod tests {
         let installed = TraceEvent::Serve(ServeEvent::EpochInstalled {
             epoch: 5,
             updated_edges: 2,
+            shards_touched: 1,
+            shards_total: 8,
             invalidated: 3,
             promoted: 9,
         });
         let json = installed.to_json();
         assert!(
-            json.contains(r#""invalidated":3"#) && json.contains(r#""promoted":9"#),
+            json.contains(r#""shards_touched":1,"shards_total":8"#)
+                && json.contains(r#""invalidated":3"#)
+                && json.contains(r#""promoted":9"#),
             "{json}"
         );
     }

@@ -1,28 +1,49 @@
 //! The invalidation-aware route cache.
 //!
-//! Keyed by `(from, to, epoch)`: a lookup only hits when the cached entry
-//! was computed at — or proven unaffected up to — the querying epoch, so
-//! a cache hit is *bit-identical* to rerunning the algorithm against the
-//! same snapshot.
+//! Every entry stores, beside the answer, one `(shard, version)` stamp
+//! per shard its path crosses, taken from the [`EpochVector`] of the
+//! snapshot it was computed against. [`RouteCache::lookup_vec`] hits iff
+//! every stamp still matches the querying snapshot's vector, so a hit is
+//! *bit-identical* to rerunning the algorithm against that snapshot.
 //!
 //! ## Invalidation rule
 //!
-//! A traffic update changes directed edge `(u, v)` to `new_cost` and
-//! installs epoch `n + 1`. Each cached entry is then either **dropped**
-//! or **promoted** to the new epoch:
+//! A traffic update changes directed edge `(u, v)` from `old_cost` to
+//! `new_cost` and bumps the versions of the shards the edge touches.
+//! [`RouteCache::apply_shard_update`] then drops or re-stamps entries:
 //!
 //! * dropped if its path uses the hop `(u, v)` — the answer's cost is
-//!   definitely stale; or
-//! * dropped if `new_cost < path.cost` — with non-negative edge costs any
-//!   route through `(u, v)` costs at least `new_cost`, so only then could
-//!   the update have created a better route than the cached one; or
-//! * promoted otherwise: the update provably cannot change this answer,
-//!   and the entry is re-keyed to epoch `n + 1` without recomputation.
+//!   definitely stale;
+//! * on a cost **decrease**, also dropped if `new_cost < path.cost` —
+//!   with non-negative edge costs any route through `(u, v)` costs at
+//!   least `new_cost`, so only then could the update have created a
+//!   better route than the cached one. No shard-local bound exists for
+//!   "a better route may now exist elsewhere", so a decrease examines
+//!   every entry;
+//! * on a cost **increase**, only entries whose stamps intersect the
+//!   touched shards are examined (a path outside them cannot use the
+//!   edge), and only those on the edge drop: a rising edge cost cannot
+//!   make any other route cheaper, so an off-path entry stays optimal;
+//! * otherwise the entry is re-stamped to the touched shards' new
+//!   versions without recomputation. Entries an increase never visits
+//!   keep their stamps — and keep hitting — untouched.
 //!
-//! Entries whose epoch is *older* than the epoch the sweep expects (a
-//! racing insert that landed after the sweep for its epoch already ran)
-//! are dropped as stale — promotion is only sound for entries that have
-//! seen every update so far.
+//! With one shard every update touches every entry, so every sweep
+//! visits the whole cache; the rule is otherwise the same.
+//!
+//! The rule is only sound for an entry that has seen every earlier
+//! update in the touched shards, and sweeps can run out of install
+//! order (two updaters race between the install and the sweep). So a
+//! sweep first compares each touched stamp with the shard's new
+//! version: an entry already at it (computed against, or promoted to, a
+//! snapshot that includes the install) is left alone; an entry exactly
+//! one version behind gets the rule; an entry further behind missed an
+//! earlier update and is dropped, whatever order its sweeps run in.
+//!
+//! A stamped insert below a version a sweep has already installed for
+//! that shard (a racing worker finishing against an old snapshot) is
+//! refused: re-stamping is only sound for entries that have seen every
+//! update so far in their shards.
 //!
 //! Unreachable results are not cached: cost updates cannot change
 //! reachability, but a `None` path has no edges for the rule to inspect,
@@ -39,45 +60,13 @@
 //! Entries an update sweep invalidates are not discarded: they retire
 //! into a separate, equally bounded *stale* map, keyed `(from, to)` and
 //! still carrying the epoch they were computed at. The live cache never
-//! serves them — [`RouteCache::lookup`] is exact-epoch only — but when
-//! the degrade ladder has nothing better (storage breaker open, every
-//! rung failed), [`RouteCache::lookup_stale`] can serve one as an
-//! explicitly tagged `STALE k` answer: a road that existed `k` epochs
-//! ago beats no road at all for a traveller already driving. The stale
-//! tier is invisible to [`RouteCache::len`] / [`RouteCache::is_empty`]
-//! and to the hit/miss counters; it has its own `stale_hits` /
-//! `retirements` statistics.
-//!
-//! ## Sharded validation (stamps)
-//!
-//! The epoch-keyed rule above treats every update as global: the sweep
-//! rewrites (or drops) *every* entry, and — because
-//! [`RouteCache::apply_update`] cannot see whether the cost went up or
-//! down — it must drop any entry a cheaper new cost *could* beat, which
-//! on long-route networks is nearly all of them. The sharded entry
-//! points fix both:
-//!
-//! * [`RouteCache::insert_stamped`] stores, alongside the answer, one
-//!   `(shard, version)` stamp per shard the path crosses (from the
-//!   [`crate::shard::EpochVector`] of the snapshot it was computed
-//!   against).
-//! * [`RouteCache::lookup_vec`] hits iff every stamp still matches the
-//!   querying snapshot's vector: updates in shards the path never enters
-//!   provably cannot have touched it, so the entry keeps hitting across
-//!   those installs *without ever being rewritten*.
-//! * [`RouteCache::apply_shard_update`] receives the old cost, so it can
-//!   apply the monotonicity argument: a pure cost **increase** can only
-//!   raise route costs, so an entry whose path avoids the edge remains
-//!   optimal — only entries whose stamp set intersects the touched
-//!   shards are even examined (the path cannot use the edge otherwise),
-//!   and only those actually on the edge drop. A cost **decrease** keeps
-//!   the conservative global rule (drop if on-path or the new cost
-//!   undercuts the cached total) — there is no sound shard-local bound
-//!   for "a better route may now exist elsewhere".
-//!
-//! The two families share the map, capacity, LRU clock, stale tier, and
-//! statistics, but a service instance uses one or the other: exact-epoch
-//! lookups never see stamped entries and vice versa.
+//! serves them, but when the degrade ladder has nothing better (storage
+//! breaker open, every rung failed), [`RouteCache::lookup_stale`] can
+//! serve one as an explicitly tagged `STALE k` answer: a road that
+//! existed `k` epochs ago beats no road at all for a traveller already
+//! driving. The stale tier is invisible to [`RouteCache::len`] /
+//! [`RouteCache::is_empty`] and to the hit/miss counters; it has its own
+//! `stale_hits` / `retirements` statistics.
 
 use crate::shard::EpochVector;
 use crate::sync::{self, Mutex, MutexGuard};
@@ -106,15 +95,15 @@ pub struct CachedRoute {
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that missed (absent key or epoch mismatch).
+    /// Lookups that missed (absent key or a moved shard version).
     pub misses: u64,
-    /// Entries dropped by update sweeps (rule-invalidated or stale).
+    /// Entries dropped by update sweeps.
     pub invalidations: u64,
-    /// Entries accepted by `insert`.
+    /// Entries accepted by `insert_stamped`.
     pub insertions: u64,
     /// Entries evicted by the LRU bound.
     pub evictions: u64,
-    /// Entries carried across an epoch bump without recomputation.
+    /// Entries re-stamped across an install without recomputation.
     pub promotions: u64,
     /// Invalidated entries retired into the stale tier.
     pub retirements: u64,
@@ -125,8 +114,8 @@ pub struct CacheStats {
 #[derive(Debug)]
 struct Entry {
     route: CachedRoute,
-    /// `(shard, version)` per shard the path crosses, sorted by shard —
-    /// empty for entries inserted through the epoch-keyed API.
+    /// `(shard, version)` per shard the path crosses, sorted by shard
+    /// (never empty).
     stamps: Vec<(u32, u64)>,
     last_used: u64,
 }
@@ -139,9 +128,6 @@ struct Inner {
     /// as the live map; never counted by `len` / `is_empty`.
     stale: HashMap<(u32, u32), CachedRoute>,
     tick: u64,
-    /// Highest epoch an update sweep has installed; inserts below it are
-    /// stale and refused.
-    latest_epoch: u64,
     /// Highest per-shard version an [`RouteCache::apply_shard_update`]
     /// sweep has installed, indexed by shard; stamped inserts below any
     /// of them are stale and refused.
@@ -175,7 +161,6 @@ impl RouteCache {
                 map: HashMap::new(),
                 stale: HashMap::new(),
                 tick: 0,
-                latest_epoch: 0,
                 latest_versions: Vec::new(),
                 stats: CacheStats::default(),
             }),
@@ -225,77 +210,7 @@ impl RouteCache {
         self.lock_entries().stats
     }
 
-    /// Looks up `(from, to)` at `epoch`. An entry at a different epoch is
-    /// a miss (it has not been proven valid for this snapshot).
-    pub fn lookup(&self, from: NodeId, to: NodeId, epoch: u64) -> Option<CachedRoute> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let mut inner = self.lock_entries();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(&(from.0, to.0)) {
-            Some(entry) if entry.stamps.is_empty() && entry.route.epoch == epoch => {
-                entry.last_used = tick;
-                let route = entry.route.clone();
-                inner.stats.hits += 1;
-                drop(inner);
-                self.bump("cache_hits_total", 1);
-                Some(route)
-            }
-            _ => {
-                inner.stats.misses += 1;
-                drop(inner);
-                self.bump("cache_misses_total", 1);
-                None
-            }
-        }
-    }
-
-    /// Inserts a computed route, evicting the LRU entry when full. The
-    /// insert is refused (silently) when the cache is disabled, when the
-    /// route's epoch predates the latest update sweep (a racing worker
-    /// finishing against an old snapshot), or when a newer entry for the
-    /// same key is already present.
-    pub fn insert(&self, from: NodeId, to: NodeId, route: CachedRoute) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.lock_entries();
-        if route.epoch < inner.latest_epoch {
-            return;
-        }
-        if let Some(existing) = inner.map.get(&(from.0, to.0)) {
-            if existing.route.epoch > route.epoch {
-                return;
-            }
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        if inner.map.len() >= self.capacity && !inner.map.contains_key(&(from.0, to.0)) {
-            // Deterministic LRU eviction: oldest tick, then smallest key.
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(key, entry)| (entry.last_used, **key))
-                .map(|(key, _)| *key);
-            if let Some(victim) = victim {
-                inner.map.remove(&victim);
-                inner.stats.evictions += 1;
-            }
-        }
-        inner.map.insert(
-            (from.0, to.0),
-            Entry {
-                route,
-                stamps: Vec::new(),
-                last_used: tick,
-            },
-        );
-        inner.stats.insertions += 1;
-    }
-
-    /// Looks up `(from, to)` against a sharded snapshot's epoch vector:
+    /// Looks up `(from, to)` against a snapshot's epoch vector:
     /// a hit requires every shard the cached path crosses to still be at
     /// the version the entry was last validated at. The returned route
     /// keeps the install it was computed (or last promoted) at — older
@@ -315,11 +230,10 @@ impl RouteCache {
         let tick = inner.tick;
         match inner.map.get_mut(&(from.0, to.0)) {
             Some(entry)
-                if !entry.stamps.is_empty()
-                    && entry
-                        .stamps
-                        .iter()
-                        .all(|&(shard, version)| epochs.version(shard) == version) =>
+                if entry
+                    .stamps
+                    .iter()
+                    .all(|&(shard, version)| epochs.version(shard) == version) =>
             {
                 entry.last_used = tick;
                 let route = entry.route.clone();
@@ -339,10 +253,12 @@ impl RouteCache {
 
     /// Inserts a computed route stamped with the `(shard, version)` pairs
     /// of the snapshot it was computed against (`route.epoch` carries the
-    /// snapshot's install counter). Refused when the cache is disabled,
-    /// when any stamp predates a version an update sweep has already
-    /// installed for that shard (a racing worker finishing against an old
-    /// snapshot), or when a newer entry for the key is present.
+    /// snapshot's install counter), evicting the LRU entry when full.
+    /// Refused when the cache is disabled, when `stamps` is empty (such
+    /// an entry would match every vector), when any stamp predates a
+    /// version an update sweep has already installed for that shard (a
+    /// racing worker finishing against an old snapshot), or when a newer
+    /// entry for the key is present.
     pub fn insert_stamped(
         &self,
         from: NodeId,
@@ -368,6 +284,7 @@ impl RouteCache {
         inner.tick += 1;
         let tick = inner.tick;
         if inner.map.len() >= self.capacity && !inner.map.contains_key(&(from.0, to.0)) {
+            // Deterministic LRU eviction: oldest tick, then smallest key.
             let victim = inner
                 .map
                 .iter()
@@ -389,7 +306,7 @@ impl RouteCache {
         inner.stats.insertions += 1;
     }
 
-    /// Sweeps the cache for a sharded traffic update: directed edge
+    /// Sweeps the cache for a traffic update: directed edge
     /// `(u, v)` went from `old_cost` to `new_cost`, bumping `shards` and
     /// installing the post-update vector `epochs`. Returns
     /// `(invalidated, promoted)`.
@@ -400,6 +317,9 @@ impl RouteCache {
     /// versions; entries in untouched shards are not visited at all. A
     /// **decrease** examines every entry with the conservative global
     /// rule (drop if on-path or `new_cost` undercuts the cached total).
+    /// Either way an entry whose touched stamps already reach the new
+    /// versions is kept as is, and one more than a version behind in any
+    /// of them is dropped, so sweeps may run in any install order.
     pub fn apply_shard_update(
         &self,
         u: NodeId,
@@ -420,29 +340,39 @@ impl RouteCache {
         let swept = std::mem::take(&mut inner.map);
         let mut retired: Vec<((u32, u32), CachedRoute)> = Vec::new();
         for (key, mut entry) in swept {
-            let intersects = entry
-                .stamps
-                .iter()
-                .any(|&(shard, _)| shards.contains(&shard));
-            if increase && !intersects {
-                // The path never enters a touched shard: the update
-                // provably missed it. Neither dropped nor rewritten.
+            // Per touched shard the path crosses: how far the entry's
+            // stamp trails the version this install set.
+            let mut intersects = false;
+            let mut behind = false;
+            let mut missed = false;
+            for &(shard, version) in &entry.stamps {
+                if shards.contains(&shard) {
+                    intersects = true;
+                    let lag = epochs.version(shard).saturating_sub(version);
+                    behind |= lag == 1;
+                    missed |= lag > 1;
+                }
+            }
+            if (increase && !intersects) || (intersects && !behind && !missed) {
+                // Either the path never enters a touched shard (an
+                // increase provably missed it), or the entry already
+                // includes this install. Neither dropped nor rewritten.
                 inner.map.insert(key, entry);
                 continue;
             }
             let on_path = entry.route.path.hops().any(|(a, b)| a == u && b == v);
             let could_beat = !increase && new_cost < entry.route.path.cost;
-            if on_path || could_beat {
+            if missed || on_path || could_beat {
                 invalidated += 1;
                 retired.push((key, entry.route));
             } else {
                 if intersects {
                     for stamp in entry.stamps.iter_mut() {
                         if shards.contains(&stamp.0) {
-                            stamp.1 = epochs.version(stamp.0);
+                            stamp.1 = stamp.1.max(epochs.version(stamp.0));
                         }
                     }
-                    entry.route.epoch = install;
+                    entry.route.epoch = entry.route.epoch.max(install);
                     promoted += 1;
                 }
                 inner.map.insert(key, entry);
@@ -463,47 +393,6 @@ impl RouteCache {
                 }
             }
         }
-        inner.stats.invalidations += invalidated;
-        inner.stats.promotions += promoted;
-        drop(inner);
-        self.bump("cache_invalidations_total", invalidated);
-        (invalidated, promoted)
-    }
-
-    /// Sweeps the cache for a traffic update that changed directed edge
-    /// `(u, v)` to `new_cost` and installed `new_epoch`. Returns
-    /// `(invalidated, promoted)` entry counts.
-    pub fn apply_update(&self, u: NodeId, v: NodeId, new_cost: f64, new_epoch: u64) -> (u64, u64) {
-        if self.capacity == 0 {
-            return (0, 0);
-        }
-        let mut inner = self.lock_entries();
-        let swept_from = new_epoch.saturating_sub(1);
-        let mut invalidated = 0u64;
-        let mut promoted = 0u64;
-        let swept = std::mem::take(&mut inner.map);
-        let mut retired: Vec<((u32, u32), CachedRoute)> = Vec::new();
-        for (key, mut entry) in swept {
-            if entry.route.epoch >= new_epoch {
-                inner.map.insert(key, entry); // computed against the new costs
-                continue;
-            }
-            let stale = entry.route.epoch < swept_from;
-            let on_path = entry.route.path.hops().any(|(a, b)| a == u && b == v);
-            let could_beat = new_cost < entry.route.path.cost;
-            if stale || on_path || could_beat {
-                invalidated += 1;
-                retired.push((key, entry.route));
-            } else {
-                entry.route.epoch = new_epoch;
-                promoted += 1;
-                inner.map.insert(key, entry);
-            }
-        }
-        for (key, route) in retired {
-            self.retire(&mut inner, key, route);
-        }
-        inner.latest_epoch = inner.latest_epoch.max(new_epoch);
         inner.stats.invalidations += invalidated;
         inner.stats.promotions += promoted;
         drop(inner);
@@ -581,13 +470,38 @@ mod tests {
         }
     }
 
+    fn vector(install: u64, versions: &[u64]) -> EpochVector {
+        EpochVector::with_versions(install, versions.to_vec())
+    }
+
+    /// The one-shard vector after `install` installs: shard 0 moves with
+    /// every one.
+    fn single(install: u64) -> EpochVector {
+        vector(install, &[install])
+    }
+
+    /// Inserts into a one-shard cache at the route's own install.
+    fn put(cache: &RouteCache, from: u32, to: u32, route: CachedRoute) {
+        let stamps = vec![(0, route.epoch)];
+        cache.insert_stamped(NodeId(from), NodeId(to), route, stamps);
+    }
+
+    fn get(cache: &RouteCache, from: u32, to: u32, install: u64) -> Option<CachedRoute> {
+        cache.lookup_vec(NodeId(from), NodeId(to), &single(install))
+    }
+
+    /// A one-shard sweep installing `install`.
+    fn sweep(cache: &RouteCache, u: u32, v: u32, old: f64, new: f64, install: u64) -> (u64, u64) {
+        cache.apply_shard_update(NodeId(u), NodeId(v), old, new, &[0], &single(install))
+    }
+
     #[test]
-    fn hit_then_epoch_mismatch_is_a_miss() {
+    fn hit_then_version_mismatch_is_a_miss() {
         let cache = RouteCache::new(8);
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 1, 3], 2.0, 0));
-        assert!(cache.lookup(NodeId(0), NodeId(3), 0).is_some());
-        assert!(cache.lookup(NodeId(0), NodeId(3), 1).is_none());
-        assert!(cache.lookup(NodeId(3), NodeId(0), 0).is_none());
+        put(&cache, 0, 3, route(&[0, 1, 3], 2.0, 0));
+        assert!(get(&cache, 0, 3, 0).is_some());
+        assert!(get(&cache, 0, 3, 1).is_none());
+        assert!(get(&cache, 3, 0, 0).is_none());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
     }
@@ -595,85 +509,80 @@ mod tests {
     #[test]
     fn update_on_path_invalidates_and_off_path_promotes() {
         let cache = RouteCache::new(8);
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 1, 3], 2.0, 0));
-        cache.insert(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 0));
-        // Edge (0,1) is on the first path; the new cost (9.0) is not
-        // cheaper than the second path (7.0), so the second survives.
-        let (invalidated, promoted) = cache.apply_update(NodeId(0), NodeId(1), 9.0, 1);
+        put(&cache, 0, 3, route(&[0, 1, 3], 2.0, 0));
+        put(&cache, 4, 5, route(&[4, 5], 7.0, 0));
+        // Edge (0,1) is on the first path; the second survives.
+        let (invalidated, promoted) = sweep(&cache, 0, 1, 1.0, 9.0, 1);
         assert_eq!((invalidated, promoted), (1, 1));
-        assert!(cache.lookup(NodeId(0), NodeId(3), 1).is_none());
-        assert_eq!(
-            cache.lookup(NodeId(4), NodeId(5), 1).unwrap().path.cost,
-            7.0
-        );
+        assert!(get(&cache, 0, 3, 1).is_none());
+        let hit = get(&cache, 4, 5, 1).unwrap();
+        assert_eq!((hit.path.cost, hit.epoch), (7.0, 1));
     }
 
     #[test]
     fn cheaper_than_cached_cost_invalidates_off_path_entries() {
         let cache = RouteCache::new(8);
-        cache.insert(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 0));
-        // Edge (8,9) is not on the path, but at cost 1.0 a route through
-        // it could now beat the cached 7.0 — drop.
-        let (invalidated, promoted) = cache.apply_update(NodeId(8), NodeId(9), 1.0, 1);
+        put(&cache, 4, 5, route(&[4, 5], 7.0, 0));
+        // Edge (8,9) is not on the path, but cleared to 1.0 a route
+        // through it could now beat the cached 7.0 — drop.
+        let (invalidated, promoted) = sweep(&cache, 8, 9, 5.0, 1.0, 1);
         assert_eq!((invalidated, promoted), (1, 0));
         assert!(cache.is_empty());
     }
 
     #[test]
+    fn an_increase_keeps_off_path_entries_even_below_the_new_cost() {
+        let cache = RouteCache::new(8);
+        put(&cache, 4, 5, route(&[4, 5], 7.0, 0));
+        // (8,9) jams from 0.5 to 2.5 — still below the cached 7.0, but a
+        // rising edge cost cannot make any route cheaper.
+        assert_eq!(sweep(&cache, 8, 9, 0.5, 2.5, 1), (0, 1));
+        assert!(get(&cache, 4, 5, 1).is_some());
+    }
+
+    #[test]
     fn direction_matters_for_the_on_path_test() {
         let cache = RouteCache::new(8);
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 1, 3], 2.0, 0));
-        // (1,0) is the reverse hop — not on the directed path; cost 50 is
-        // above the cached total, so the entry survives.
-        let (invalidated, promoted) = cache.apply_update(NodeId(1), NodeId(0), 50.0, 1);
+        put(&cache, 0, 3, route(&[0, 1, 3], 2.0, 0));
+        // (1,0) is the reverse hop — not on the directed path.
+        let (invalidated, promoted) = sweep(&cache, 1, 0, 1.0, 50.0, 1);
         assert_eq!((invalidated, promoted), (0, 1));
-        assert!(cache.lookup(NodeId(0), NodeId(3), 1).is_some());
+        assert!(get(&cache, 0, 3, 1).is_some());
     }
 
     #[test]
     fn lru_eviction_is_deterministic() {
         let cache = RouteCache::new(2);
-        cache.insert(NodeId(0), NodeId(1), route(&[0, 1], 1.0, 0));
-        cache.insert(NodeId(0), NodeId(2), route(&[0, 2], 1.0, 0));
+        put(&cache, 0, 1, route(&[0, 1], 1.0, 0));
+        put(&cache, 0, 2, route(&[0, 2], 1.0, 0));
         // Touch (0,1) so (0,2) is the LRU victim.
-        assert!(cache.lookup(NodeId(0), NodeId(1), 0).is_some());
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 3], 1.0, 0));
+        assert!(get(&cache, 0, 1, 0).is_some());
+        put(&cache, 0, 3, route(&[0, 3], 1.0, 0));
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(NodeId(0), NodeId(2), 0).is_none());
-        assert!(cache.lookup(NodeId(0), NodeId(1), 0).is_some());
-        assert!(cache.lookup(NodeId(0), NodeId(3), 0).is_some());
+        assert!(get(&cache, 0, 2, 0).is_none());
+        assert!(get(&cache, 0, 1, 0).is_some());
+        assert!(get(&cache, 0, 3, 0).is_some());
         assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn stale_inserts_and_stale_entries_are_refused() {
-        let cache = RouteCache::new(8);
-        cache.apply_update(NodeId(0), NodeId(1), 1.0, 3);
-        // A worker that computed against epoch 1 finishes late: refused.
-        cache.insert(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 1));
-        assert!(cache.is_empty());
-        // An entry at the swept-from epoch is fine.
-        cache.insert(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 3));
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn zero_capacity_disables_everything() {
         let cache = RouteCache::new(0);
-        cache.insert(NodeId(0), NodeId(1), route(&[0, 1], 1.0, 0));
-        assert!(cache.lookup(NodeId(0), NodeId(1), 0).is_none());
-        assert_eq!(cache.apply_update(NodeId(0), NodeId(1), 2.0, 1), (0, 0));
+        put(&cache, 0, 1, route(&[0, 1], 1.0, 0));
+        assert!(get(&cache, 0, 1, 0).is_none());
+        assert_eq!(sweep(&cache, 0, 1, 1.0, 2.0, 1), (0, 0));
+        assert!(cache.lookup_stale(NodeId(0), NodeId(1), 1, 8).is_none());
         assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]
     fn invalidated_entries_retire_into_the_stale_tier() {
         let cache = RouteCache::new(8);
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 1, 3], 2.0, 0));
-        let (invalidated, _) = cache.apply_update(NodeId(0), NodeId(1), 9.0, 1);
+        put(&cache, 0, 3, route(&[0, 1, 3], 2.0, 0));
+        let (invalidated, _) = sweep(&cache, 0, 1, 1.0, 9.0, 1);
         assert_eq!(invalidated, 1);
         assert!(cache.is_empty(), "the stale tier is not the live cache");
-        assert!(cache.lookup(NodeId(0), NodeId(3), 1).is_none());
+        assert!(get(&cache, 0, 3, 1).is_none());
         let (stale, age) = cache
             .lookup_stale(NodeId(0), NodeId(3), 1, 8)
             .expect("the retired route is servable");
@@ -687,8 +596,8 @@ mod tests {
     #[test]
     fn stale_lookups_respect_the_age_bound() {
         let cache = RouteCache::new(8);
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 1, 3], 2.0, 0));
-        cache.apply_update(NodeId(0), NodeId(1), 9.0, 1);
+        put(&cache, 0, 3, route(&[0, 1, 3], 2.0, 0));
+        sweep(&cache, 0, 1, 1.0, 9.0, 1);
         assert!(cache.lookup_stale(NodeId(0), NodeId(3), 10, 8).is_none());
         assert!(cache.lookup_stale(NodeId(0), NodeId(3), 8, 8).is_some());
         assert!(cache.lookup_stale(NodeId(9), NodeId(9), 1, 8).is_none());
@@ -697,35 +606,23 @@ mod tests {
     #[test]
     fn stale_tier_keeps_the_newest_retiree_per_key_and_is_bounded() {
         let cache = RouteCache::new(2);
-        // Retire (0,3) at epoch 0, then a fresher (0,3) at epoch 1.
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 1, 3], 2.0, 0));
-        cache.apply_update(NodeId(0), NodeId(1), 9.0, 1);
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 2, 3], 3.0, 1));
-        cache.apply_update(NodeId(0), NodeId(2), 9.0, 2);
+        // Retire (0,3) at install 0, then a fresher (0,3) at install 1.
+        put(&cache, 0, 3, route(&[0, 1, 3], 2.0, 0));
+        sweep(&cache, 0, 1, 1.0, 9.0, 1);
+        put(&cache, 0, 3, route(&[0, 2, 3], 3.0, 1));
+        sweep(&cache, 0, 2, 1.0, 9.0, 2);
         let (stale, age) = cache.lookup_stale(NodeId(0), NodeId(3), 2, 8).unwrap();
         assert_eq!((stale.epoch, age), (1, 1), "newest retiree wins");
         // Fill the tier past capacity: the oldest epoch is evicted.
-        cache.insert(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 2));
-        cache.insert(NodeId(6), NodeId(7), route(&[6, 7], 8.0, 2));
-        cache.apply_update(NodeId(0), NodeId(1), 0.5, 3); // undercuts both
+        put(&cache, 4, 5, route(&[4, 5], 7.0, 2));
+        put(&cache, 6, 7, route(&[6, 7], 8.0, 2));
+        sweep(&cache, 0, 1, 9.0, 0.5, 3); // a decrease that undercuts both
         assert!(
             cache.lookup_stale(NodeId(0), NodeId(3), 3, 8).is_none(),
-            "the epoch-1 retiree was the eviction victim"
+            "the install-1 retiree was the eviction victim"
         );
         assert!(cache.lookup_stale(NodeId(4), NodeId(5), 3, 8).is_some());
         assert!(cache.lookup_stale(NodeId(6), NodeId(7), 3, 8).is_some());
-    }
-
-    #[test]
-    fn zero_capacity_disables_the_stale_tier_too() {
-        let cache = RouteCache::new(0);
-        cache.insert(NodeId(0), NodeId(1), route(&[0, 1], 1.0, 0));
-        cache.apply_update(NodeId(0), NodeId(1), 2.0, 1);
-        assert!(cache.lookup_stale(NodeId(0), NodeId(1), 1, 8).is_none());
-    }
-
-    fn vector(install: u64, versions: &[u64]) -> EpochVector {
-        EpochVector::with_versions(install, versions.to_vec())
     }
 
     #[test]
@@ -760,8 +657,7 @@ mod tests {
         cache.insert_stamped(NodeId(4), NodeId(5), route(&[4, 5], 7.0, 0), vec![(0, 0)]);
         // (0,1) jams from 1.0 to 40.0 in shard 0. The first path uses the
         // hop — dropped. The second is off-path: under a pure increase it
-        // stays optimal even though 40.0 > its 7.0 total (the legacy rule
-        // would have dropped it as `could_beat` if this were a decrease).
+        // stays optimal.
         let v1 = vector(1, &[1]);
         let (invalidated, promoted) =
             cache.apply_shard_update(NodeId(0), NodeId(1), 1.0, 40.0, &[0], &v1);
@@ -801,6 +697,50 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
+    /// Vector after `version` installs touching shard `touched` of
+    /// `shards` (install counter = version).
+    fn touched(shards: usize, touched: usize, version: u64) -> EpochVector {
+        let mut versions = vec![0; shards];
+        versions[touched] = version;
+        vector(version, &versions)
+    }
+
+    #[test]
+    fn sweeps_run_out_of_order_drop_an_entry_that_missed_an_install() {
+        // Install 1 jams (0,1), on the cached path; install 2 jams
+        // (8,9), off it. If sweep 2 runs first it must not re-stamp the
+        // entry past install 1, at one shard or at eight.
+        for (shards, t, stamps) in [(1, 0, vec![(0, 0)]), (8, 3, vec![(2, 0), (3, 0)])] {
+            let cache = RouteCache::new(8);
+            cache.insert_stamped(NodeId(0), NodeId(3), route(&[0, 1, 3], 2.0, 0), stamps);
+            let (v1, v2) = (touched(shards, t, 1), touched(shards, t, 2));
+            let t = t as u32;
+            let late = cache.apply_shard_update(NodeId(8), NodeId(9), 1.0, 9.0, &[t], &v2);
+            assert_eq!(
+                late,
+                (1, 0),
+                "{shards} shards: two versions behind is dropped"
+            );
+            assert!(cache.lookup_vec(NodeId(0), NodeId(3), &v2).is_none());
+            let early = cache.apply_shard_update(NodeId(0), NodeId(1), 1.0, 9.0, &[t], &v1);
+            assert_eq!(early, (0, 0), "{shards} shards: nothing left to sweep");
+            assert!(cache.lookup_vec(NodeId(0), NodeId(3), &v2).is_none());
+            // The dropped route retired at its compute-time install.
+            let (stale, age) = cache.lookup_stale(NodeId(0), NodeId(3), 2, 8).unwrap();
+            assert_eq!((stale.epoch, age), (0, 2));
+        }
+    }
+
+    #[test]
+    fn an_entry_computed_after_the_install_is_left_alone_by_its_sweep() {
+        let cache = RouteCache::new(8);
+        // Install 1 jams (0,1); a worker pinned to install 1 caches a
+        // route over the jammed hop before the sweep for install 1 runs.
+        put(&cache, 0, 3, route(&[0, 1, 3], 10.0, 1));
+        assert_eq!(sweep(&cache, 0, 1, 1.0, 9.0, 1), (0, 0));
+        assert!(get(&cache, 0, 3, 1).is_some());
+    }
+
     #[test]
     fn vector_lookup_misses_when_a_crossed_shard_moved() {
         let cache = RouteCache::new(8);
@@ -819,18 +759,16 @@ mod tests {
                 .is_none(),
             "shard 1 moved under the path"
         );
-        // Epoch-keyed lookups never see stamped entries.
-        assert!(cache.lookup(NodeId(0), NodeId(3), 0).is_none());
     }
 
     #[test]
     fn metrics_mirror_the_counters() {
         let registry = atis_obs::MetricsRegistry::shared();
         let cache = RouteCache::new(8).with_metrics(registry.clone());
-        cache.insert(NodeId(0), NodeId(3), route(&[0, 1, 3], 2.0, 0));
-        cache.lookup(NodeId(0), NodeId(3), 0);
-        cache.lookup(NodeId(9), NodeId(9), 0);
-        cache.apply_update(NodeId(0), NodeId(1), 9.0, 1);
+        put(&cache, 0, 3, route(&[0, 1, 3], 2.0, 0));
+        get(&cache, 0, 3, 0);
+        get(&cache, 9, 9, 0);
+        sweep(&cache, 0, 1, 1.0, 9.0, 1);
         assert_eq!(registry.counter("cache_hits_total"), 1);
         assert_eq!(registry.counter("cache_misses_total"), 1);
         assert_eq!(registry.counter("cache_invalidations_total"), 1);

@@ -20,11 +20,13 @@
 //!   ticks flow into the planner's cost-unit budget, so a request that
 //!   would blow its deadline stops consuming block reads mid-expansion
 //!   instead of completing uselessly.
-//! * **Epoch snapshots** ([`EpochDb`]) — `ROUTE` queries run in parallel
-//!   against an immutable `Arc<Database>` snapshot while `UPDATE`
-//!   traffic installs a new epoch copy-on-write. Every answer carries the
-//!   epoch it was computed at; no answer can mix pre- and post-update
-//!   edge costs.
+//! * **Epoch snapshots** ([`ShardedEpochDb`]) — `ROUTE` queries run in
+//!   parallel against an immutable [`ShardSnapshot`] (the database plus
+//!   its per-shard epoch vector) while `UPDATE` traffic installs a new
+//!   epoch copy-on-write, bumping only the shards its edge touches.
+//!   Every answer carries the install it was computed at; no answer can
+//!   mix pre- and post-update edge costs. One shard is the degenerate
+//!   case of the same store, not a separate one.
 //! * **Circuit breakers + stale-serve degradation** ([`CircuitBreaker`])
 //!   — per-resource breakers (storage, landmark rebuilds) open after a
 //!   threshold of typed errors and route requests down a degrade ladder
@@ -32,11 +34,13 @@
 //!   [`RouteOutcome::Stale`] (the `STALE k` wire reply); half-open
 //!   probing re-closes a breaker once the fault clears.
 //! * **Invalidation-aware route cache** ([`RouteCache`]) — LRU-bounded,
-//!   keyed by `(from, to, epoch)`. An update drops exactly the entries
-//!   it could have changed (path uses the updated edge, or the new cost
-//!   undercuts the cached total) and promotes the rest to the new epoch
-//!   without recomputation; invalidated entries retire into the stale
-//!   tier that backs the degrade ladder's last rung.
+//!   each entry stamped with the versions of the shards its path
+//!   crosses. An update drops exactly the entries it could have changed
+//!   (the path uses the updated edge, or a cost decrease undercuts the
+//!   cached total), re-stamps the rest it could reach without
+//!   recomputation, and never visits entries in untouched shards;
+//!   invalidated entries retire into the stale tier that backs the
+//!   degrade ladder's last rung.
 //! * **Deterministic chaos harness** ([`chaos`]) — seeded overload
 //!   waves (arrival bursts, `UPDATE` storms, injected I/O brownouts)
 //!   driven against a real service, asserting the resilience
@@ -87,7 +91,6 @@ pub mod breaker;
 pub mod cache;
 #[cfg(not(loom))]
 pub mod chaos;
-pub mod epoch;
 pub mod error;
 pub mod service;
 pub mod shard;
@@ -99,9 +102,11 @@ pub use breaker::{
 pub use cache::{CacheStats, CachedRoute, RouteCache};
 #[cfg(not(loom))]
 pub use chaos::{ChaosReport, ChaosScenario, OutcomeCounts};
-pub use epoch::{EpochDb, EpochUpdate, HierarchyRefresh, LandmarkRefresh, Snapshot};
 pub use error::{ServeError, ShedReason};
 pub use service::{
     Deadline, RequestClass, RouteAnswer, RouteOutcome, RouteService, ServeConfig, Ticket,
 };
-pub use shard::{EpochVector, ShardMap, ShardSnapshot, ShardedEpochDb, ShardedUpdate};
+pub use shard::{
+    EpochUpdate, EpochVector, HierarchyRefresh, LandmarkRefresh, ShardMap, ShardSnapshot,
+    ShardedEpochDb,
+};

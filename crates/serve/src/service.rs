@@ -8,7 +8,7 @@
 //! ```text
 //! submit() ──admission──▶ class queues ──▶ worker i
 //!    │ shed? SHED            (interactive     │ deadline check (virtual ticks)
-//!    ▼       (typed reason)   before bulk)    │ pin snapshot (epoch e)
+//!    ▼       (typed reason)   before bulk)    │ pin snapshot (vector e)
 //! Ticket::wait() ◀── answer ◀────────────────┤ cache lookup (from,to,e)
 //!                                            │ hit: serve cached
 //!                                            └ miss: degrade ladder
@@ -51,14 +51,15 @@
 //!
 //! ## Sharded epochs and batched expansion
 //!
-//! With [`ServeConfig::with_shards`] the epoch state is versioned per
-//! region-group shard (see `shard.rs`): an update bumps only the shards
-//! its edge touches, queries pin one consistent epoch *vector*, and the
-//! cache validates entries against the shard versions they were stamped
-//! with — so an update in one shard no longer invalidates routes that
-//! never cross it. With [`ServeConfig::with_batch_max`] a worker drains
-//! up to `batch_max` queued requests in one dequeue (never waiting for
-//! more — batching adds zero queueing latency), serves identical
+//! The epoch state is versioned per region-group shard (see `shard.rs`;
+//! [`ServeConfig::with_shards`] sets the count, one by default): an
+//! update bumps only the shards its edge touches, queries pin one
+//! consistent epoch *vector*, and the cache validates entries against
+//! the shard versions they were stamped with — so an update in one
+//! shard never reaches routes that do not cross it. With
+//! [`ServeConfig::with_batch_max`] a worker drains up to `batch_max`
+//! queued requests in one dequeue (never waiting for more — batching
+//! adds zero queueing latency), serves identical
 //! `(from, to)` keys from a single run, and — when the primary
 //! algorithm is Dijkstra — folds same-source requests into one shared
 //! frontier sweep (`dijkstra_many`) charged a single pass of block
@@ -71,9 +72,10 @@ use crate::breaker::{
     Admission, BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker, ProbeGuard,
 };
 use crate::cache::{CachedRoute, RouteCache};
-use crate::epoch::{EpochUpdate, HierarchyRefresh, LandmarkRefresh, Snapshot};
 use crate::error::{ServeError, ShedReason};
-use crate::shard::{ShardMap, ShardSnapshot, ShardedEpochDb, ShardedUpdate};
+use crate::shard::{
+    EpochUpdate, HierarchyRefresh, LandmarkRefresh, ShardMap, ShardSnapshot, ShardedEpochDb,
+};
 use crate::sync::{self, Arc, Condvar, Mutex, MutexGuard};
 use atis_algorithms::{AStarVersion, Algorithm, AlgorithmError, BudgetKind, Budgets, Database};
 use atis_graph::{NodeId, Path};
@@ -197,9 +199,9 @@ pub struct ServeConfig {
     pub breaker: BreakerConfig,
     /// Oldest answer (in epochs) the stale-serve rung may return.
     pub stale_max_age: u64,
-    /// Epoch shards (region groups over the partition map). `1` keeps
-    /// the single global epoch; more shards confine an update's cache
-    /// invalidation to the shards its edge touches.
+    /// Epoch shards (region groups over the partition map, at most one
+    /// per region). More shards confine an update's cache invalidation
+    /// to the shards its edge touches.
     pub shards: usize,
     /// Most requests a worker folds into one dequeue (≥ 1; `1` disables
     /// batching). A batch is drain-only — a worker never waits for one
@@ -274,7 +276,7 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the epoch shard count (`1` = single global epoch).
+    /// Overrides the epoch shard count (clamped to ≥ 1).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -460,12 +462,6 @@ impl Shared {
         sync::lock(&self.queue)
     }
 
-    /// Whether epochs are sharded (more than one region group): selects
-    /// the stamped cache family over the legacy single-epoch one.
-    fn sharded(&self) -> bool {
-        !self.epoch_db.map().is_single()
-    }
-
     fn now(&self) -> u64 {
         self.clock.load(Ordering::Relaxed)
     }
@@ -592,11 +588,7 @@ impl RouteService {
         if let Some(m) = &metrics {
             cache = cache.with_metrics(m.clone());
         }
-        let map = if config.shards <= 1 {
-            ShardMap::single(db.graph().node_count())
-        } else {
-            ShardMap::build(db.graph(), config.shards)
-        };
+        let map = ShardMap::build(db.graph(), config.shards);
         if let Some(m) = &metrics {
             m.set("serve_shards", map.shard_count() as u64);
             m.set("serve_batch_max", config.batch_max.max(1) as u64);
@@ -658,7 +650,8 @@ impl RouteService {
         self.shared.epoch_db.install()
     }
 
-    /// The number of epoch shards (`1` = single global epoch).
+    /// The number of epoch shards (≥ 1; at most one per partition
+    /// region, so small graphs run one).
     pub fn shards(&self) -> usize {
         self.shared.epoch_db.map().shard_count()
     }
@@ -675,19 +668,9 @@ impl RouteService {
         self.shared.now()
     }
 
-    /// The current `(epoch, database)` snapshot — for read-only side
-    /// queries (`EVAL`) that must see one consistent epoch. The epoch
-    /// reported is the global install counter.
-    pub fn snapshot(&self) -> Snapshot {
-        let snap = self.shared.epoch_db.snapshot();
-        Snapshot {
-            epoch: snap.install(),
-            db: snap.db,
-        }
-    }
-
-    /// The current sharded snapshot: the database plus the whole epoch
-    /// vector, pinned together under one lock acquisition.
+    /// The current snapshot: the database plus the whole epoch vector,
+    /// pinned together under one lock acquisition — for read-only side
+    /// queries (`EVAL`) that must see one consistent install.
     pub fn shard_snapshot(&self) -> ShardSnapshot {
         self.shared.epoch_db.snapshot()
     }
@@ -849,11 +832,7 @@ impl RouteService {
         v: NodeId,
         cost: f64,
     ) -> Result<EpochUpdate, AlgorithmError> {
-        let ShardedUpdate {
-            update,
-            shards,
-            epochs,
-        } = self.shared.epoch_db.update_edge_cost(u, v, cost)?;
+        let update = self.shared.epoch_db.update_edge_cost(u, v, cost)?;
         match update.hierarchy {
             HierarchyRefresh::RebuildFailed => {
                 self.shared.inc("serve_hierarchy_rebuild_failed_total");
@@ -883,37 +862,23 @@ impl RouteService {
             }
             _ => {}
         }
-        let (invalidated, promoted) = if self.shared.sharded() {
-            self.shared.cache.apply_shard_update(
-                u,
-                v,
-                update.old_cost,
-                update.new_cost,
-                &shards,
-                &epochs,
-            )
-        } else {
-            self.shared
-                .cache
-                .apply_update(u, v, update.new_cost, update.epoch)
-        };
+        let (invalidated, promoted) = self.shared.cache.apply_shard_update(
+            u,
+            v,
+            update.old_cost,
+            update.new_cost,
+            &update.shards,
+            &update.epochs,
+        );
         self.shared.inc("serve_epoch_installs_total");
         self.shared.emit(ServeEvent::EpochInstalled {
             epoch: update.epoch,
             updated_edges: update.updated as u64,
+            shards_touched: update.shards.len() as u64,
+            shards_total: update.epochs.shard_count() as u64,
             invalidated,
             promoted,
         });
-        if self.shared.sharded() {
-            self.shared.inc("serve_shard_installs_total");
-            self.shared.emit(ServeEvent::ShardEpochInstalled {
-                install: epochs.install(),
-                shards_touched: shards.len() as u64,
-                shards_total: self.shared.epoch_db.map().shard_count() as u64,
-                invalidated,
-                promoted,
-            });
-        }
         Ok(update)
     }
 }
@@ -1200,7 +1165,10 @@ fn run_cluster(
     // Cache first: a hit detaches its group from the sweep entirely.
     let mut misses: Vec<Group> = Vec::new();
     for group in cluster {
-        if let Some(hit) = cache_lookup(shared, snapshot, group.from, group.to) {
+        if let Some(hit) = shared
+            .cache
+            .lookup_vec(group.from, group.to, &snapshot.epochs)
+        {
             if let Some((lead, _)) = group.members.first() {
                 shared.emit(ServeEvent::CacheHit {
                     request: lead.id,
@@ -1434,7 +1402,7 @@ fn execute(
     now: u64,
 ) -> (Result<Exec, ServeError>, u64) {
     let install = snapshot.install();
-    if let Some(hit) = cache_lookup(shared, snapshot, job.from, job.to) {
+    if let Some(hit) = shared.cache.lookup_vec(job.from, job.to, &snapshot.epochs) {
         shared.emit(ServeEvent::CacheHit {
             request: job.id,
             epoch: install,
@@ -1720,25 +1688,8 @@ fn storage_fault_metric(fault: &StorageError) -> &'static str {
     }
 }
 
-/// Looks a key up in the cache family the service runs: the legacy
-/// single-epoch check in global mode, the stamped epoch-vector check in
-/// sharded mode.
-fn cache_lookup(
-    shared: &Shared,
-    snapshot: &ShardSnapshot,
-    from: NodeId,
-    to: NodeId,
-) -> Option<CachedRoute> {
-    if shared.sharded() {
-        shared.cache.lookup_vec(from, to, &snapshot.epochs)
-    } else {
-        shared.cache.lookup(from, to, snapshot.install())
-    }
-}
-
-/// Inserts a computed route into the running cache family. In sharded
-/// mode the entry is stamped with the version (from the pinned vector)
-/// of every shard the path crosses.
+/// Inserts a computed route into the cache, stamped with the version
+/// (from the pinned vector) of every shard the path crosses.
 fn cache_insert(
     shared: &Shared,
     snapshot: &ShardSnapshot,
@@ -1748,33 +1699,20 @@ fn cache_insert(
     iterations: u64,
     cost_units: f64,
 ) {
-    if shared.sharded() {
-        let stamps: Vec<(u32, u64)> = shared
-            .epoch_db
-            .map()
-            .path_shards(&path.nodes)
-            .into_iter()
-            .map(|shard| (shard, snapshot.epochs.version(shard)))
-            .collect();
-        let route = CachedRoute {
-            path,
-            epoch: snapshot.install(),
-            iterations,
-            cost_units,
-        };
-        shared.cache.insert_stamped(from, to, route, stamps);
-    } else {
-        shared.cache.insert(
-            from,
-            to,
-            CachedRoute {
-                path,
-                epoch: snapshot.install(),
-                iterations,
-                cost_units,
-            },
-        );
-    }
+    let stamps: Vec<(u32, u64)> = shared
+        .epoch_db
+        .map()
+        .path_shards(&path.nodes)
+        .into_iter()
+        .map(|shard| (shard, snapshot.epochs.version(shard)))
+        .collect();
+    let route = CachedRoute {
+        path,
+        epoch: snapshot.install(),
+        iterations,
+        cost_units,
+    };
+    shared.cache.insert_stamped(from, to, route, stamps);
 }
 
 /// The ladder's last rung: a stale-tier answer tagged with its age, or a
@@ -2410,7 +2348,7 @@ mod tests {
         assert_eq!(registry.counter("serve_hierarchy_customized_total"), 1);
         let answer = service.route(s, d).unwrap();
         assert_eq!(answer.outcome, RouteOutcome::Computed);
-        let snap = service.snapshot();
+        let snap = service.shard_snapshot();
         let oracle = atis_algorithms::memory::dijkstra_pair(snap.db.graph(), s, d).unwrap();
         assert!((answer.path.unwrap().cost - oracle.cost).abs() < 1e-9);
 
@@ -2541,29 +2479,36 @@ mod tests {
     }
 
     #[test]
-    fn a_far_shard_update_keeps_a_sharded_route_cached_where_global_drops_it() {
-        // A cheap jam increase on a far-away edge: the legacy cache
-        // cannot see the old cost, so `new_cost < path.cost` forces it
-        // to drop the entry; the sharded cache sees the update never
-        // touches the route's shards and keeps it hot.
-        let (global, grid) = sharded_service(ServeConfig::default().with_workers(1));
+    fn a_far_increase_keeps_the_route_cached_at_one_shard_and_at_eight() {
+        // A jam on a far-away edge whose new cost is still below the
+        // cached route's total. A rising edge cost cannot make any route
+        // cheaper, so both services keep the route: the one-shard cache
+        // visits and re-stamps it, the 8-shard cache never visits it.
+        let (single, grid) = sharded_service(ServeConfig::default().with_workers(1));
         let (sharded, _) = sharded_service(ServeConfig::default().with_workers(1).with_shards(8));
+        assert_eq!(single.shards(), 1);
+        assert!(sharded.shards() > 1);
         let (s, d) = (grid.node_at(0, 0), grid.node_at(0, 3));
         let (ju, jv) = (grid.node_at(31, 30), grid.node_at(31, 31));
-        for service in [&global, &sharded] {
-            assert_eq!(service.route(s, d).unwrap().outcome, RouteOutcome::Computed);
+        for (service, promoted) in [(&single, 1), (&sharded, 0)] {
+            let first = service.route(s, d).unwrap();
+            assert_eq!(first.outcome, RouteOutcome::Computed);
+            let old = service
+                .shard_snapshot()
+                .db
+                .graph()
+                .edge_cost(ju, jv)
+                .unwrap();
+            assert!(old < 2.5 && 2.5 < first.path.unwrap().cost);
+            let before = service.cache().stats();
             service.update_edge_cost(ju, jv, 2.5).unwrap();
+            let after = service.cache().stats();
+            assert_eq!(after.invalidations, before.invalidations);
+            assert_eq!(after.promotions - before.promotions, promoted);
+            let hit = service.route(s, d).unwrap();
+            assert_eq!(hit.outcome, RouteOutcome::CacheHit);
+            assert_eq!(hit.epoch, 1);
         }
-        assert_eq!(
-            sharded.route(s, d).unwrap().outcome,
-            RouteOutcome::CacheHit,
-            "an untouched-shard route must survive the update"
-        );
-        assert_ne!(
-            global.route(s, d).unwrap().outcome,
-            RouteOutcome::CacheHit,
-            "the global epoch must have dropped the same route"
-        );
     }
 
     /// Spin until the worker pool has emitted `Started` for `request` —

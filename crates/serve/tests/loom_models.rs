@@ -2,17 +2,17 @@
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"` (the `loom` CI job);
 //! the whole serving crate then builds against `loom::sync` through the
-//! `crate::sync` shim, so these tests exercise the *real* `EpochDb` /
-//! `RouteCache` / `RouteService` code under perturbed schedules — not
-//! test doubles. The vendored loom stand-in explores bounded randomized
-//! interleavings (see `vendor/loom`); upstream loom would explore
-//! exhaustively with the same test source.
+//! `crate::sync` shim, so these tests exercise the *real*
+//! `ShardedEpochDb` / `RouteCache` / `RouteService` code under perturbed
+//! schedules — not test doubles. The vendored loom stand-in explores
+//! bounded randomized interleavings (see `vendor/loom`); upstream loom
+//! would explore exhaustively with the same test source.
 #![cfg(loom)]
 
 use atis_algorithms::Database;
 use atis_graph::{CostModel, Grid, NodeId, Path, QueryKind};
 use atis_serve::{
-    Admission, BreakerConfig, BreakerState, CachedRoute, CircuitBreaker, EpochDb, ProbeGuard,
+    Admission, BreakerConfig, BreakerState, CachedRoute, CircuitBreaker, EpochVector, ProbeGuard,
     RouteCache, RouteService, ServeConfig, ServeError, ShardMap, ShardedEpochDb,
 };
 use std::sync::Arc;
@@ -23,7 +23,14 @@ fn small_db() -> (Database, NodeId, NodeId) {
     (Database::open(grid.graph()).expect("open"), s, d)
 }
 
-/// Race: `update_edge_cost` installing epoch 1 while readers snapshot.
+/// A one-shard store: the degenerate case of the epoch vector.
+fn single_store(db: Database) -> ShardedEpochDb {
+    let map = ShardMap::single(db.graph().node_count());
+    ShardedEpochDb::new(db, map)
+}
+
+/// Race: `update_edge_cost` installing epoch 1 on a one-shard store
+/// while readers snapshot.
 ///
 /// Invariants checked under every interleaving:
 /// * a snapshot is never torn — epoch 0 always carries the pre-update
@@ -39,7 +46,7 @@ fn epoch_install_vs_snapshot_race() {
     let new_cost = old_cost + 50.0;
 
     loom::model(move || {
-        let db = Arc::new(EpochDb::new(base.clone()));
+        let db = Arc::new(single_store(base.clone()));
 
         let writer = {
             let db = db.clone();
@@ -53,22 +60,23 @@ fn epoch_install_vs_snapshot_race() {
                 let mut last_epoch = 0;
                 for _ in 0..4 {
                     let snap = db.snapshot();
+                    let epoch = snap.install();
                     let seen = snap.db.graph().edge_cost(u, v).expect("edge");
-                    let expect = if snap.epoch == 0 { old_cost } else { new_cost };
+                    let expect = if epoch == 0 { old_cost } else { new_cost };
                     assert_eq!(
                         seen.to_bits(),
                         expect.to_bits(),
-                        "torn snapshot: epoch {} with cost {seen}",
-                        snap.epoch
+                        "torn snapshot: epoch {epoch} with cost {seen}"
                     );
-                    assert!(snap.epoch >= last_epoch, "epoch went backwards");
-                    last_epoch = snap.epoch;
+                    assert_eq!(snap.epochs.versions(), &[epoch], "shard 0 tracks installs");
+                    assert!(epoch >= last_epoch, "epoch went backwards");
+                    last_epoch = epoch;
                 }
             })
         };
         writer.join().expect("writer");
         reader.join().expect("reader");
-        assert_eq!(db.epoch(), 1);
+        assert_eq!(db.install(), 1);
     });
 }
 
@@ -130,35 +138,53 @@ fn route(nodes: &[u32], cost: f64, epoch: u64) -> CachedRoute {
     }
 }
 
-/// Race: an update sweep promoting/dropping entries while readers look
-/// up at both the old and the new epoch.
+/// Race: a one-shard update sweep promoting/dropping entries while
+/// readers look up at both the old and the new install.
 ///
-/// Invariants: a hit at epoch `e` always carries `route.epoch == e`; the
-/// entry whose path uses the updated edge is never served at the new
-/// epoch; the off-path entry survives the sweep (promoted, same bits).
+/// Invariants: a hit at install `e` always carries `route.epoch == e`;
+/// the entry whose path uses the updated edge is never served at the
+/// new install; the off-path entry survives the sweep (re-stamped, same
+/// bits).
 #[test]
 fn cache_promote_or_drop_sweep() {
-    loom::model(|| {
+    // The install-1 vector of a real one-shard store: shard 0 at 1.
+    let (base, _, _) = small_db();
+    let u = NodeId(0);
+    let v = base.graph().neighbors(u)[0].to;
+    let v1: EpochVector = (*single_store(base)
+        .update_edge_cost(u, v, 99.0)
+        .expect("update")
+        .epochs)
+        .clone();
+    assert_eq!(v1.versions(), &[1]);
+    loom::model(move || {
         let cache = Arc::new(RouteCache::new(8));
-        cache.insert(NodeId(1), NodeId(3), route(&[1, 2, 3], 4.0, 0));
-        cache.insert(NodeId(4), NodeId(5), route(&[4, 5], 2.0, 0));
+        cache.insert_stamped(
+            NodeId(1),
+            NodeId(3),
+            route(&[1, 2, 3], 4.0, 0),
+            vec![(0, 0)],
+        );
+        cache.insert_stamped(NodeId(4), NodeId(5), route(&[4, 5], 2.0, 0), vec![(0, 0)]);
 
         let sweeper = {
             let cache = cache.clone();
+            let v1 = v1.clone();
             loom::thread::spawn(move || {
-                // Congestion on (1,2): drops the through route, promotes
-                // the off-path one (99.0 cannot undercut 2.0).
-                cache.apply_update(NodeId(1), NodeId(2), 99.0, 1)
+                // Congestion on (1,2): drops the through route, re-stamps
+                // the off-path one.
+                cache.apply_shard_update(NodeId(1), NodeId(2), 1.0, 99.0, &[0], &v1)
             })
         };
         let reader = {
             let cache = cache.clone();
+            let v1 = v1.clone();
             loom::thread::spawn(move || {
                 for _ in 0..4 {
-                    if let Some(hit) = cache.lookup(NodeId(1), NodeId(3), 1) {
-                        panic!("stale through-route served at epoch 1: {hit:?}");
+                    if let Some(hit) = cache.lookup_vec(NodeId(1), NodeId(3), &v1) {
+                        panic!("stale through-route served at install 1: {hit:?}");
                     }
-                    if let Some(hit) = cache.lookup(NodeId(4), NodeId(5), 1) {
+                    if let Some(hit) = cache.lookup_vec(NodeId(4), NodeId(5), &v1) {
                         assert_eq!(hit.epoch, 1);
                         assert_eq!(hit.path.cost.to_bits(), 2.0f64.to_bits());
                     }
@@ -169,8 +195,90 @@ fn cache_promote_or_drop_sweep() {
         let (invalidated, promoted) = sweeper.join().expect("sweeper");
         reader.join().expect("reader");
         assert_eq!((invalidated, promoted), (1, 1));
-        assert!(cache.lookup(NodeId(1), NodeId(3), 1).is_none());
-        assert!(cache.lookup(NodeId(4), NodeId(5), 1).is_some());
+        assert!(cache.lookup_vec(NodeId(1), NodeId(3), &v1).is_none());
+        assert!(cache.lookup_vec(NodeId(4), NodeId(5), &v1).is_some());
+    });
+}
+
+/// The cost of walking `nodes` on `db`'s current edge costs.
+fn path_cost(db: &Database, nodes: &[NodeId]) -> f64 {
+    nodes
+        .windows(2)
+        .map(|hop| db.graph().edge_cost(hop[0], hop[1]).expect("grid edge"))
+        .sum()
+}
+
+/// Race: two updaters install and sweep concurrently on a one-shard
+/// store, so their sweeps may run out of install order, while a reader
+/// looks a cached route up against fresh snapshots.
+///
+/// Invariant under every interleaving: a hit's cached cost is the
+/// path's cost on the snapshot it hit against — a sweep never re-stamps
+/// an entry past an install whose jam it has not seen.
+#[test]
+fn racing_update_sweeps_never_serve_a_route_past_an_unseen_jam() {
+    let (base, _, _) = small_db();
+    let path = [NodeId(0), NodeId(1), NodeId(2)];
+    let cached_cost = path_cost(&base, &path);
+    loom::model(move || {
+        let store = Arc::new(single_store(base.clone()));
+        let cache = Arc::new(RouteCache::new(8));
+        cache.insert_stamped(
+            path[0],
+            path[2],
+            CachedRoute {
+                path: Path {
+                    nodes: path.to_vec(),
+                    cost: cached_cost,
+                },
+                epoch: 0,
+                iterations: 3,
+                cost_units: 10.0,
+            },
+            vec![(0, 0)],
+        );
+        // One jam on the cached path, one off it.
+        let updaters: Vec<_> = [(NodeId(0), NodeId(1)), (NodeId(5), NodeId(6))]
+            .into_iter()
+            .map(|(u, v)| {
+                let (store, cache) = (store.clone(), cache.clone());
+                loom::thread::spawn(move || {
+                    let up = store.update_edge_cost(u, v, 99.0).expect("update");
+                    cache.apply_shard_update(
+                        u,
+                        v,
+                        up.old_cost,
+                        up.new_cost,
+                        &up.shards,
+                        &up.epochs,
+                    );
+                })
+            })
+            .collect();
+        let reader = {
+            let (store, cache) = (store.clone(), cache.clone());
+            loom::thread::spawn(move || {
+                for _ in 0..4 {
+                    let snap = store.snapshot();
+                    if let Some(hit) = cache.lookup_vec(path[0], path[2], &snap.epochs) {
+                        let actual = path_cost(&snap.db, &path);
+                        assert!(
+                            (hit.path.cost - actual).abs() < 1e-9,
+                            "install {}: cached {} but the path costs {actual}",
+                            snap.install(),
+                            hit.path.cost
+                        );
+                    }
+                }
+            })
+        };
+        for updater in updaters {
+            updater.join().expect("updater");
+        }
+        reader.join().expect("reader");
+        let snap = store.snapshot();
+        assert_eq!(snap.install(), 2);
+        assert!(cache.lookup_vec(path[0], path[2], &snap.epochs).is_none());
     });
 }
 
@@ -196,7 +304,7 @@ fn breaker_trip_probe_reclose_vs_epoch_install() {
             open_ticks: 10,
             probes: 1,
         }));
-        let epochs = Arc::new(EpochDb::new(base.clone()));
+        let epochs = Arc::new(single_store(base.clone()));
 
         let failers: Vec<_> = (0..2)
             .map(|_| {
@@ -222,7 +330,7 @@ fn breaker_trip_probe_reclose_vs_epoch_install() {
         closer.join().expect("closer");
         installer.join().expect("installer");
         assert!(trips <= 1, "the trip transition fired {trips} times");
-        assert_eq!(epochs.epoch(), 1, "the update must land regardless");
+        assert_eq!(epochs.install(), 1, "the update must land regardless");
 
         // Deterministic tail: whatever the race left behind, the machine
         // must still trip, probe, and re-close cleanly.
@@ -351,7 +459,7 @@ fn shard_install_vs_batched_read_race() {
             let db = db.clone();
             loom::thread::spawn(move || {
                 let installed = db.update_edge_cost(u, v, new_cost).expect("install");
-                assert_eq!(installed.update.epoch, 1);
+                assert_eq!(installed.epoch, 1);
                 assert!(installed.shards.contains(&shard_u));
             })
         };

@@ -21,10 +21,13 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-fn temp_map() -> PathBuf {
+/// Exports a fresh map to a file of its own. Tests run in parallel, so
+/// each passes its own `name`: a shared file would be rewritten (and
+/// read half-written) by another test's export.
+fn temp_map(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("atis_cli_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let map = dir.join("map.txt");
+    let map = dir.join(format!("{name}.txt"));
     let out = atis(&[
         "export-map",
         "grid",
@@ -39,7 +42,7 @@ fn temp_map() -> PathBuf {
 
 #[test]
 fn export_and_info() {
-    let map = temp_map();
+    let map = temp_map("export_and_info");
     let out = atis(&["info", map.to_str().unwrap()]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
@@ -49,7 +52,7 @@ fn export_and_info() {
 
 #[test]
 fn route_by_id_and_by_coordinate_agree() {
-    let map = temp_map();
+    let map = temp_map("route_by_id_and_by_coordinate_agree");
     let by_id = atis(&["route", map.to_str().unwrap(), "0", "99"]);
     assert!(by_id.status.success(), "{}", stderr(&by_id));
     // Node 0 is at (0,0); node 99 at (9,9).
@@ -68,7 +71,7 @@ fn route_by_id_and_by_coordinate_agree() {
 
 #[test]
 fn compare_lists_all_three_algorithms() {
-    let map = temp_map();
+    let map = temp_map("compare_lists_all_three_algorithms");
     let out = atis(&["compare", map.to_str().unwrap(), "0", "99"]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
@@ -79,7 +82,7 @@ fn compare_lists_all_three_algorithms() {
 
 #[test]
 fn trip_and_alternatives() {
-    let map = temp_map();
+    let map = temp_map("trip_and_alternatives");
     let out = atis(&["trip", map.to_str().unwrap(), "0", "9", "99"]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("leg 2"), "{}", stdout(&out));
@@ -96,7 +99,7 @@ fn trip_and_alternatives() {
 
 #[test]
 fn route_writes_svg() {
-    let map = temp_map();
+    let map = temp_map("route_writes_svg");
     let svg = map.with_file_name("route.svg");
     let out = atis(&[
         "route",
@@ -114,7 +117,7 @@ fn route_writes_svg() {
 
 #[test]
 fn errors_are_reported_with_nonzero_exit() {
-    let map = temp_map();
+    let map = temp_map("errors_are_reported_with_nonzero_exit");
     // Unknown node.
     let out = atis(&["route", map.to_str().unwrap(), "0", "100000"]);
     assert!(!out.status.success());

@@ -240,14 +240,16 @@ fn a_sharded_install_is_never_observed_torn() {
     // maximise the shard-boundary traffic; batching and the cache stay
     // ON because both are epoch-vector consumers (a stale-stamped cache
     // hit that survived a sweep it should not have also shows up as a
-    // pricing failure at its claimed epoch).
-    let grid = Grid::new(12, CostModel::TWENTY_PERCENT, 23).unwrap();
+    // pricing failure at its claimed epoch). Side 18: a 16×16 grid or
+    // smaller fits one 256-node region and so runs a single shard.
+    let k = 18;
+    let grid = Grid::new(k, CostModel::TWENTY_PERCENT, 23).unwrap();
     let initial = grid.graph().clone();
     let pairs = [
-        (grid.node_at(0, 0), grid.node_at(11, 11)),
-        (grid.node_at(11, 0), grid.node_at(0, 11)),
-        (grid.node_at(0, 5), grid.node_at(11, 6)),
-        (grid.node_at(5, 0), grid.node_at(6, 11)),
+        (grid.node_at(0, 0), grid.node_at(k - 1, k - 1)),
+        (grid.node_at(k - 1, 0), grid.node_at(0, k - 1)),
+        (grid.node_at(0, k / 2 - 1), grid.node_at(k - 1, k / 2)),
+        (grid.node_at(k / 2 - 1, 0), grid.node_at(k / 2, k - 1)),
     ];
 
     let service = Arc::new(RouteService::new(
@@ -259,13 +261,17 @@ fn a_sharded_install_is_never_observed_torn() {
             .with_shards(4)
             .with_batch_max(4),
     ));
+    assert!(
+        service.shards() > 1,
+        "the side-{k} grid must split into shards"
+    );
 
     let writer = {
         let service = service.clone();
         let edges: Vec<(NodeId, NodeId)> = (0..16)
             .map(|i| {
-                let x = (i * 3) % 11;
-                let y = (i * 7) % 12;
+                let x = (i * 3) % (k - 1);
+                let y = (i * 7) % k;
                 (grid.node_at(x, y), grid.node_at(x + 1, y))
             })
             .collect();

@@ -5,6 +5,15 @@
 //! the exact same update stream. Sharding changes *what survives in the
 //! cache* and *how misses are expanded*, never what a route costs.
 //!
+//! The oracle runs the same cache code with one shard, so the property
+//! also checks both against a cache-disabled reference service, which
+//! recomputes every answer.
+//!
+//! Grids have side 17 or more: the partitioner's regions hold 256
+//! nodes, so a 16×16 grid collapses to one shard whatever the shard
+//! count asked for. Every test asserts that its sharded service really
+//! runs more than one shard.
+//!
 //! The property runs under proptest over random grids, random jam/clear
 //! update streams, and random query schedules interleaved with the
 //! updates; deterministic tests pin the seam cases (routes crossing
@@ -57,16 +66,32 @@ fn assert_same_route(
     }
 }
 
-fn service(grid: &Grid, shards: usize, batch: usize) -> RouteService {
+fn service_with_cache(grid: &Grid, shards: usize, batch: usize, cache: usize) -> RouteService {
     RouteService::new(
         Database::open(grid.graph()).expect("grid fits the engine"),
         ServeConfig::default()
             .with_workers(2)
-            .with_cache_capacity(64)
+            .with_cache_capacity(cache)
             .with_algorithm(Algorithm::Dijkstra)
             .with_shards(shards)
             .with_batch_max(batch),
     )
+}
+
+fn service(grid: &Grid, shards: usize, batch: usize) -> RouteService {
+    service_with_cache(grid, shards, batch, 64)
+}
+
+/// A service with more than one shard (panics if `grid` is too small to
+/// split).
+fn sharded_service(grid: &Grid, shards: usize, batch: usize) -> RouteService {
+    let service = service(grid, shards, batch);
+    assert!(
+        service.shards() > 1,
+        "a side-{} grid must split into shards",
+        (grid.graph().node_count() as f64).sqrt()
+    );
+    service
 }
 
 /// One scripted step: queries interleaved with an edge-cost update.
@@ -102,18 +127,20 @@ proptest! {
 
     /// The tentpole property: cross-shard routes served by a sharded,
     /// batched service are bit-identical to the single-shard oracle
-    /// under the same interleaved update stream.
+    /// under the same interleaved update stream, and both are
+    /// bit-identical to a service with no cache at all.
     #[test]
     fn sharded_routes_match_the_single_shard_oracle(
-        k in 4usize..10,
+        k in 17usize..24,
         seed in 0u64..500,
         shards in 2usize..8,
         batch in 1usize..4,
-        script in (4usize..10).prop_flat_map(arb_script),
+        script in (17usize..24).prop_flat_map(arb_script),
     ) {
         let grid = Grid::new(k, CostModel::TWENTY_PERCENT, seed).expect("k >= 2");
-        let sharded = service(&grid, shards, batch);
+        let sharded = sharded_service(&grid, shards, batch);
         let oracle = service(&grid, 1, 1);
+        let reference = service_with_cache(&grid, 1, 1, 0);
 
         for (i, step) in script.iter().enumerate() {
             let (x, y, vertical) = step.edge;
@@ -128,7 +155,7 @@ proptest! {
                 (grid.node_at(x, y), grid.node_at(x + 1, y))
             };
             let old = sharded
-                .snapshot()
+                .shard_snapshot()
                 .db
                 .graph()
                 .edge_cost(u, v)
@@ -140,17 +167,20 @@ proptest! {
             oracle
                 .update_edge_cost(u, v, new_cost)
                 .expect("oracle update");
+            reference
+                .update_edge_cost(u, v, new_cost)
+                .expect("reference update");
 
             for &(s, d) in &step.queries {
                 let s = NodeId(s % (k * k) as u32);
                 let d = NodeId(d % (k * k) as u32);
                 let a = route(&sharded, s, d);
                 let b = route(&oracle, s, d);
-                assert_same_route(
-                    &a,
-                    &b,
-                    &format!("step {i}, {s:?}->{d:?}, k={k} seed={seed} shards={shards} batch={batch}"),
-                );
+                let c = route(&reference, s, d);
+                let context =
+                    format!("step {i}, {s:?}->{d:?}, k={k} seed={seed} shards={shards} batch={batch}");
+                assert_same_route(&a, &b, &context);
+                assert_same_route(&b, &c, &format!("{context} (no-cache reference)"));
             }
         }
     }
@@ -160,9 +190,9 @@ proptest! {
 /// oracle across updates that touch only some of its shards.
 #[test]
 fn a_cross_shard_diagonal_survives_partial_invalidation_bit_identically() {
-    let k = 16;
+    let k = 20;
     let grid = Grid::new(k, CostModel::TWENTY_PERCENT, 7).expect("grid");
-    let sharded = service(&grid, 4, 4);
+    let sharded = sharded_service(&grid, 4, 4);
     let oracle = service(&grid, 1, 1);
     let corner = |x: usize, y: usize| grid.node_at(x, y);
     let pairs = [
@@ -177,7 +207,12 @@ fn a_cross_shard_diagonal_survives_partial_invalidation_bit_identically() {
         let x = (round * 3) % (k - 1);
         let y = (round * 5) % k;
         let (u, v) = (corner(x, y), corner(x + 1, y));
-        let old = sharded.snapshot().db.graph().edge_cost(u, v).expect("edge");
+        let old = sharded
+            .shard_snapshot()
+            .db
+            .graph()
+            .edge_cost(u, v)
+            .expect("edge");
         sharded.update_edge_cost(u, v, old * 1.5).expect("update");
         oracle.update_edge_cost(u, v, old * 1.5).expect("update");
 
@@ -194,9 +229,9 @@ fn a_cross_shard_diagonal_survives_partial_invalidation_bit_identically() {
 /// suboptimal route.
 #[test]
 fn a_cost_decrease_is_swept_conservatively() {
-    let k = 10;
+    let k = 18;
     let grid = Grid::new(k, CostModel::TWENTY_PERCENT, 11).expect("grid");
-    let sharded = service(&grid, 4, 2);
+    let sharded = sharded_service(&grid, 4, 2);
     let oracle = service(&grid, 1, 1);
     let from = grid.node_at(0, 0);
     let to = grid.node_at(k - 1, k - 1);
@@ -212,7 +247,12 @@ fn a_cost_decrease_is_swept_conservatively() {
     // optimal route almost certainly changes.
     for y in 0..k {
         let (u, v) = (grid.node_at(k / 2 - 1, y), grid.node_at(k / 2, y));
-        let old = sharded.snapshot().db.graph().edge_cost(u, v).expect("edge");
+        let old = sharded
+            .shard_snapshot()
+            .db
+            .graph()
+            .edge_cost(u, v)
+            .expect("edge");
         sharded.update_edge_cost(u, v, old * 0.1).expect("update");
         oracle.update_edge_cost(u, v, old * 0.1).expect("update");
     }
